@@ -241,26 +241,30 @@ func (c *PayloadCache) get(h ckptfmt.Hash) (value.Payload, bool) {
 	return e.p, ok
 }
 
-func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) {
+// put offers a decoded payload to the cache and reports whether it was
+// admitted — in which case the cache now holds p, and with it the buffer p's
+// wire views alias.
+func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[h]; ok {
-		return
+		return false
 	}
 	if _, ok := c.seen[h]; !ok {
 		if len(c.seen) >= seenLimit {
 			c.seen = map[ckptfmt.Hash]struct{}{}
 		}
 		c.seen[h] = struct{}{}
-		return
+		return false
 	}
 	if c.size+bytes > c.cap {
-		return
+		return false
 	}
 	c.m[h] = cachedPayload{p: p, bytes: bytes}
 	c.size += bytes
 	c.admits++
 	c.mAdmits.Inc()
+	return true
 }
 
 // DecodeSectionsCached parses sections into bundle items, serving sections
@@ -268,11 +272,14 @@ func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) {
 // store skipped loading them) and caching fresh decodes by content
 // identity. A nil cache degrades to DecodeSections.
 //
-// Ownership: the call takes secs[i].Data — a buffer the cache hit path no
-// longer needs (the cached payload references an earlier load's bytes) is
-// recycled into the shared restore arena, so callers must not retain Data
-// slices across the call. Decoded payloads may alias Data (lazy tensor
-// views), which is exactly why only the cache-HIT path may recycle.
+// Ownership: decoded payloads alias secs[i].Data (lazy tensor and state
+// views). On return, a section whose Data is still set is the caller's: its
+// payload is valid until the caller hands the buffer back to ckptfmt.Shared,
+// which it should do once every payload is applied. The call clears Data
+// on the other sections. A section the cache already held is served from an
+// earlier load's bytes, so its buffer (if the store loaded one anyway) goes
+// straight back to the arena; a section the cache admits now is owned by
+// the cache from then on and must never be recycled.
 func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload, error) {
 	if c == nil {
 		return DecodeSections(secs)
@@ -301,8 +308,8 @@ func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload
 			return
 		}
 		items[i] = NamedPayload{Name: secs[i].Name, Payload: p}
-		if secs[i].Hash != zero {
-			c.put(secs[i].Hash, p, int64(len(secs[i].Data)))
+		if secs[i].Hash != zero && c.put(secs[i].Hash, p, int64(len(secs[i].Data))) {
+			secs[i].Data = nil
 		}
 	})
 	for _, err := range errs {

@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"testing"
 
+	"flor.dev/flor/internal/ckptfmt"
+	"flor.dev/flor/internal/codec"
+	"flor.dev/flor/internal/nn"
+	"flor.dev/flor/internal/opt"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/value"
@@ -311,4 +315,105 @@ func TestMixedKindBundle(t *testing.T) {
 		kinds["rng"] != value.KindRNG || kinds["w"] != value.KindTensor {
 		t.Fatalf("kinds wrong: %v", kinds)
 	}
+}
+
+// TestPayloadCacheOwnsAdmittedBuffers restores one checkpoint twice through
+// one PayloadCache, so the second touch admits its sections, then restores
+// other checkpoints that cycle the restore arena and scribbles over every
+// buffer the arena hands out. The cached payloads alias the buffers their
+// admission kept, so they must still re-encode to the checkpoint's bytes.
+func TestPayloadCacheOwnsAdmittedBuffers(t *testing.T) {
+	st := newStore(t)
+	m := New(st, Baseline)
+	model := nn.NewLinear("fc", xrand.New(1), 24, 24)
+	sgd := opt.NewSGD(model, 0.1, 0.9, 0)
+	w := &value.Tensor{T: tensor.Randn(xrand.New(2), 1, 300)}
+	for e := 0; e < 4; e++ {
+		for _, p := range model.Params() {
+			p.Var.Grad = tensor.Full(float64(e+1), p.Var.Value.Shape()...)
+		}
+		sgd.Step()
+		w.T.Fill(float64(e))
+		m.Materialize(store.Key{LoopID: "L", Exec: e}, []NamedValue{
+			{Name: "net", V: &value.Model{M: model}},
+			{Name: "opt", V: &value.Optimizer{O: sgd}},
+			{Name: "w", V: w},
+		}, 0)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k0 := store.Key{LoopID: "L", Exec: 0}
+	ref, ok, err := st.GetSections(k0, nil)
+	if err != nil || !ok {
+		t.Fatalf("reference read: ok=%v err=%v", ok, err)
+	}
+	want := map[string][]byte{}
+	for _, sec := range ref {
+		want[sec.Name] = append([]byte(nil), sec.Data...)
+	}
+
+	cache := NewPayloadCache(0)
+	// restore mirrors skipblock's restore: decode through the cache, then
+	// hand every buffer the cache did not keep back to the arena. It
+	// returns the decoded items and how many buffers went back.
+	restore := func(key store.Key) ([]NamedPayload, int) {
+		t.Helper()
+		secs, ok, err := st.GetSections(key, cache.Contains)
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%v err=%v", key, ok, err)
+		}
+		items, err := DecodeSectionsCached(cache, secs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		returned := 0
+		for _, sec := range secs {
+			if sec.Data != nil {
+				ckptfmt.Shared.Put(sec.Data)
+				returned++
+			}
+		}
+		return items, returned
+	}
+	checkCached := func(when string) {
+		t.Helper()
+		items, returned := restore(k0)
+		if returned != 0 {
+			t.Fatalf("%s: %d buffers loaded for fully cached content", when, returned)
+		}
+		for _, it := range items {
+			enc := codec.NewWriter()
+			value.EncodePayload(enc, it.Payload)
+			if !bytes.Equal(enc.Bytes(), want[it.Name]) {
+				t.Fatalf("%s: cached payload %q re-encodes differently", when, it.Name)
+			}
+		}
+	}
+
+	if _, returned := restore(k0); returned != len(ref) {
+		t.Fatalf("first touch returned %d buffers, want all %d", returned, len(ref))
+	}
+	if _, returned := restore(k0); returned != 0 {
+		t.Fatalf("admitting touch returned %d buffers to the arena, want 0", returned)
+	}
+	if got := cache.Stats().Admits; got != int64(len(ref)) {
+		t.Fatalf("admits = %d, want %d", got, len(ref))
+	}
+	checkCached("after admission")
+	for round := 0; round < 3; round++ {
+		for e := 1; e < 4; e++ {
+			restore(store.Key{LoopID: "L", Exec: e})
+		}
+		for _, sec := range ref {
+			for i := 0; i < 4; i++ {
+				b := ckptfmt.Shared.Get(len(sec.Data))
+				for j := range b {
+					b[j] = 0xa5
+				}
+				ckptfmt.Shared.Put(b)
+			}
+		}
+	}
+	checkCached("after cycling the arena")
 }

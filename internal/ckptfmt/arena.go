@@ -24,11 +24,12 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Shared is the process-wide arena the restore path threads its staging
-// buffers through: the store recycles span read buffers here between shard
-// fetches, and the payload cache's admission path feeds section buffers it
-// retires back into the same pool, so both layers draw from one warm set
-// instead of growing two.
+// Shared is the process-wide arena the restore path threads its buffers
+// through: the store draws section buffers and span read buffers from it,
+// and a restore hands each section buffer back once its payloads are applied
+// — unless the payload cache admitted the section, in which case the cache
+// owns that buffer for good. All layers draw from one warm set instead of
+// growing several.
 var Shared = NewArena()
 
 // Get returns a buffer of length n (capacity possibly larger). Contents are
@@ -36,14 +37,25 @@ var Shared = NewArena()
 func (a *Arena) Get(n int) []byte {
 	if v := a.pool.Get(); v != nil {
 		b := *(v.(*[]byte))
-		if cap(b) >= n {
+		switch {
+		case cap(b) < n:
+			// Too small for this request; drop it rather than growing a
+			// pooled buffer nobody may ever need this large again.
+		case cap(b)-n > n && cap(b)-n > oversizeSlack:
+			// Far too large: leave it for a request that needs it. A small
+			// section buffer may end up held by the payload cache for good,
+			// and must not pin a large one.
+			a.pool.Put(v)
+		default:
 			return b[:n]
 		}
-		// Too small for this request; drop it rather than growing a pooled
-		// buffer nobody may ever need this large again.
 	}
 	return make([]byte, n)
 }
+
+// oversizeSlack is the spare capacity Get tolerates on any buffer it hands
+// out; beyond it, the spare capacity may be at most n.
+const oversizeSlack = 64 << 10
 
 // Put releases a buffer back to the arena. Safe for concurrent use with Get.
 func (a *Arena) Put(b []byte) {

@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"flor.dev/flor/internal/tensor"
@@ -100,11 +101,7 @@ func (w *Writer) RawAppend(b []byte) {
 
 // Tensor appends a shape-prefixed dense tensor.
 func (w *Writer) Tensor(t *tensor.Tensor) {
-	shape := t.Shape()
-	w.Uvarint(uint64(len(shape)))
-	for _, d := range shape {
-		w.Uvarint(uint64(d))
-	}
+	w.shape(t.Shape())
 	data := t.Data()
 	if len(data) == 0 {
 		return
@@ -123,6 +120,20 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 		binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
 	}
 	w.buf.Write(block)
+}
+
+// TensorView re-emits a wire view verbatim: byte-identical to Tensor of the
+// tensor the view was read from.
+func (w *Writer) TensorView(v TensorView) {
+	w.shape(v.Shape)
+	w.buf.Write(v.Raw)
+}
+
+func (w *Writer) shape(shape []int) {
+	w.Uvarint(uint64(len(shape)))
+	for _, d := range shape {
+		w.Uvarint(uint64(d))
+	}
 }
 
 // IntSlice appends a length-prefixed slice of signed ints.
@@ -217,48 +228,60 @@ func (r *Reader) RawBytes() ([]byte, error) {
 	return b, nil
 }
 
-// Tensor reads a shape-prefixed dense tensor.
-func (r *Reader) Tensor() (*tensor.Tensor, error) {
-	shape, raw, err := r.TensorView()
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(shape...)
-	PutFloats(out.Data(), raw)
-	return out, nil
+// TensorView is a dense tensor left in wire form: its shape and the raw
+// block of 8 little-endian IEEE-754 bytes per element. A view read by
+// Reader.TensorView aliases the reader's buffer and stays valid only as long
+// as that buffer does. It has two exits: CopyTo copies the block into a live
+// tensor the caller already owns — the restore hot path, one copy from the
+// fetched bytes to their destination — and Tensor materializes a fresh
+// tensor for any other consumer.
+type TensorView struct {
+	Shape []int
+	Raw   []byte
 }
 
-// TensorView reads a shape-prefixed dense tensor without materializing it.
-// The returned raw block aliases the reader's buffer and holds the wire
-// encoding (8 little-endian IEEE-754 bytes per element); it stays valid only
-// as long as the underlying buffer does. PutFloats copies such a block onto a
-// float64 slice — together they form the zero-copy restore path, which
-// defers (or skips) building an intermediate tensor and instead copies
-// checkpoint bytes straight into the live destination.
-func (r *Reader) TensorView() (shape []int, raw []byte, err error) {
+// CopyTo copies the view's elements into dst, whose shape must match.
+func (v TensorView) CopyTo(dst *tensor.Tensor) error {
+	if !slices.Equal(v.Shape, dst.Shape()) {
+		return fmt.Errorf("codec: tensor shape mismatch: wire %v, live %v", v.Shape, dst.Shape())
+	}
+	PutFloats(dst.Data(), v.Raw)
+	return nil
+}
+
+// Tensor materializes the view as a fresh tensor that aliases nothing.
+func (v TensorView) Tensor() *tensor.Tensor {
+	t := tensor.New(v.Shape...)
+	PutFloats(t.Data(), v.Raw)
+	return t
+}
+
+// TensorView reads a shape-prefixed dense tensor without materializing it;
+// the view's raw block aliases the reader's buffer.
+func (r *Reader) TensorView() (TensorView, error) {
 	dims, err := r.Uvarint()
 	if err != nil {
-		return nil, nil, err
+		return TensorView{}, err
 	}
 	if dims > 8 {
-		return nil, nil, fmt.Errorf("%w: implausible tensor rank %d", ErrCorrupt, dims)
+		return TensorView{}, fmt.Errorf("%w: implausible tensor rank %d", ErrCorrupt, dims)
 	}
-	shape = make([]int, dims)
+	shape := make([]int, dims)
 	n := 1
 	for i := range shape {
 		d, err := r.Uvarint()
 		if err != nil {
-			return nil, nil, err
+			return TensorView{}, err
 		}
 		shape[i] = int(d)
 		n *= int(d)
 	}
 	if r.Remaining() < 8*n {
-		return nil, nil, fmt.Errorf("%w: truncated tensor payload at offset %d", ErrCorrupt, r.off)
+		return TensorView{}, fmt.Errorf("%w: truncated tensor payload at offset %d", ErrCorrupt, r.off)
 	}
-	raw = r.buf[r.off : r.off+8*n]
+	raw := r.buf[r.off : r.off+8*n]
 	r.off += 8 * n
-	return shape, raw, nil
+	return TensorView{Shape: shape, Raw: raw}, nil
 }
 
 // PutFloats copies a wire-format float block (8 little-endian bytes per

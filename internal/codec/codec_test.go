@@ -73,11 +73,11 @@ func TestTensorRoundTrip(t *testing.T) {
 	orig := tensor.Randn(xrand.New(1), 1, 3, 4, 5)
 	w := NewWriter()
 	w.Tensor(orig)
-	got, err := NewReader(w.Bytes()).Tensor()
+	v, err := NewReader(w.Bytes()).TensorView()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(orig, got) {
+	if got := v.Tensor(); !tensor.Equal(orig, got) {
 		t.Fatal("tensor round trip not identical")
 	}
 }
@@ -86,11 +86,11 @@ func TestScalarTensorRoundTrip(t *testing.T) {
 	orig := tensor.Scalar(42.5)
 	w := NewWriter()
 	w.Tensor(orig)
-	got, err := NewReader(w.Bytes()).Tensor()
+	v, err := NewReader(w.Bytes()).TensorView()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Item() != 42.5 {
+	if got := v.Tensor(); got.Item() != 42.5 {
 		t.Fatalf("scalar round trip = %g", got.Item())
 	}
 }
@@ -100,7 +100,7 @@ func TestTruncatedReadsFail(t *testing.T) {
 	w.Tensor(tensor.Full(1, 10, 10))
 	full := w.Bytes()
 	for _, cut := range []int{0, 1, 5, len(full) / 2, len(full) - 1} {
-		if _, err := NewReader(full[:cut]).Tensor(); err == nil {
+		if _, err := NewReader(full[:cut]).TensorView(); err == nil {
 			t.Fatalf("truncation at %d bytes not detected", cut)
 		}
 	}
@@ -240,8 +240,8 @@ func TestQuickTensorRoundTrip(t *testing.T) {
 		orig := tensor.Randn(xrand.New(seed), 1, r, c)
 		w := NewWriter()
 		w.Tensor(orig)
-		got, err := NewReader(w.Bytes()).Tensor()
-		return err == nil && tensor.Equal(orig, got)
+		v, err := NewReader(w.Bytes()).TensorView()
+		return err == nil && tensor.Equal(orig, v.Tensor())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -320,25 +320,43 @@ func TestTensorViewAliasesAndPutFloats(t *testing.T) {
 	orig := tensor.Randn(xrand.New(3), 1, 64, 3)
 	w := NewWriter()
 	w.Tensor(orig)
-	shape, raw, err := NewReader(w.Bytes()).TensorView()
+	enc := w.Bytes()
+	v, err := NewReader(enc).TensorView()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shape) != 2 || shape[0] != 64 || shape[1] != 3 {
-		t.Fatalf("shape = %v", shape)
+	if len(v.Shape) != 2 || v.Shape[0] != 64 || v.Shape[1] != 3 {
+		t.Fatalf("shape = %v", v.Shape)
 	}
-	if len(raw) != 8*orig.Len() {
-		t.Fatalf("raw block %d bytes, want %d", len(raw), 8*orig.Len())
+	if len(v.Raw) != 8*orig.Len() {
+		t.Fatalf("raw block %d bytes, want %d", len(v.Raw), 8*orig.Len())
+	}
+	if &v.Raw[0] != &enc[len(enc)-len(v.Raw)] {
+		t.Fatal("view copied the wire block instead of aliasing it")
 	}
 	dst := make([]float64, orig.Len())
-	PutFloats(dst, raw)
-	for i, v := range orig.Data() {
-		if dst[i] != v {
-			t.Fatalf("element %d: %g != %g", i, dst[i], v)
+	PutFloats(dst, v.Raw)
+	for i, x := range orig.Data() {
+		if dst[i] != x {
+			t.Fatalf("element %d: %g != %g", i, dst[i], x)
 		}
 	}
-	// The view must reject truncated payloads like Tensor does.
-	if _, _, err := NewReader(w.Bytes()[:w.Len()-4]).TensorView(); !errors.Is(err, ErrCorrupt) {
+	// CopyTo fills a live tensor in place and refuses a shape mismatch.
+	live := tensor.New(64, 3)
+	if err := v.CopyTo(live); err != nil || !tensor.Equal(live, orig) {
+		t.Fatalf("CopyTo: err = %v, equal = %v", err, tensor.Equal(live, orig))
+	}
+	if err := v.CopyTo(tensor.New(3, 64)); err == nil {
+		t.Fatal("CopyTo accepted a transposed shape")
+	}
+	// Re-emitting the view is byte-identical to encoding the tensor.
+	w2 := NewWriter()
+	w2.TensorView(v)
+	if !bytes.Equal(w2.Bytes(), enc) {
+		t.Fatal("TensorView re-encode diverges from Tensor encode")
+	}
+	// The view must reject truncated payloads.
+	if _, err := NewReader(enc[:len(enc)-4]).TensorView(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated view: err = %v", err)
 	}
 }

@@ -13,16 +13,26 @@ package opt
 import (
 	"fmt"
 	"math"
+	"sort"
 
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/nn"
 	"flor.dev/flor/internal/tensor"
 )
 
 // State is a serializable snapshot of optimizer or scheduler state: named
 // tensors plus named scalars.
+//
+// A tensor is held in one of two forms, never both under one name. Tensors
+// holds materialized tensors — what Snapshot captures on the training
+// thread. Views holds wire views decoded from a checkpoint: they alias the
+// checkpoint's section buffer, which the restore path recycles once the
+// restore is applied, so consumers copy out of a view (CopyTo, or Restore
+// through load) and never retain it. Tensor materializes either form.
 type State struct {
 	Scalars map[string]float64
 	Tensors map[string]*tensor.Tensor
+	Views   map[string]codec.TensorView
 }
 
 // NewState returns an empty state.
@@ -30,7 +40,61 @@ func NewState() *State {
 	return &State{Scalars: map[string]float64{}, Tensors: map[string]*tensor.Tensor{}}
 }
 
-// Clone deep-copies the state.
+// TensorNames returns the names of the state's tensors, in either form,
+// sorted.
+func (s *State) TensorNames() []string {
+	names := make([]string, 0, len(s.Tensors)+len(s.Views))
+	for k := range s.Tensors {
+		names = append(names, k)
+	}
+	for k := range s.Views {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Tensor returns the named tensor, materializing a wire view into a fresh
+// tensor.
+func (s *State) Tensor(name string) (*tensor.Tensor, bool) {
+	if v, ok := s.Views[name]; ok {
+		return v.Tensor(), true
+	}
+	t, ok := s.Tensors[name]
+	return t, ok
+}
+
+// CopyTo copies the named tensor into dst, whose shape must match — the one
+// copy a restore makes of each tensor.
+func (s *State) CopyTo(name string, dst *tensor.Tensor) error {
+	if v, ok := s.Views[name]; ok {
+		return v.CopyTo(dst)
+	}
+	t, ok := s.Tensors[name]
+	if !ok {
+		return fmt.Errorf("opt: state has no tensor %q", name)
+	}
+	if !tensor.SameShape(t, dst) {
+		return fmt.Errorf("opt: tensor %q shape mismatch: state %v, live %v", name, t.Shape(), dst.Shape())
+	}
+	dst.CopyFrom(t)
+	return nil
+}
+
+// load copies the named tensor into buf when buf exists with the same shape
+// and into a fresh tensor otherwise, returning the destination. The result
+// never aliases the state.
+func (s *State) load(name string, buf *tensor.Tensor) *tensor.Tensor {
+	if buf != nil && s.CopyTo(name, buf) == nil {
+		return buf
+	}
+	if v, ok := s.Views[name]; ok {
+		return v.Tensor()
+	}
+	return s.Tensors[name].Clone()
+}
+
+// Clone deep-copies the state, materializing wire views.
 func (s *State) Clone() *State {
 	c := NewState()
 	for k, v := range s.Scalars {
@@ -39,12 +103,16 @@ func (s *State) Clone() *State {
 	for k, v := range s.Tensors {
 		c.Tensors[k] = v.Clone()
 	}
+	for k, v := range s.Views {
+		c.Tensors[k] = v.Tensor()
+	}
 	return c
 }
 
-// Equal reports deep equality of two states.
+// Equal reports deep equality of two states, whichever form their tensors
+// are held in.
 func (s *State) Equal(o *State) bool {
-	if len(s.Scalars) != len(o.Scalars) || len(s.Tensors) != len(o.Tensors) {
+	if len(s.Scalars) != len(o.Scalars) || len(s.Tensors)+len(s.Views) != len(o.Tensors)+len(o.Views) {
 		return false
 	}
 	for k, v := range s.Scalars {
@@ -52,9 +120,10 @@ func (s *State) Equal(o *State) bool {
 			return false
 		}
 	}
-	for k, v := range s.Tensors {
-		ov, ok := o.Tensors[k]
-		if !ok || !tensor.Equal(v, ov) {
+	for _, k := range s.TensorNames() {
+		a, _ := s.Tensor(k)
+		b, ok := o.Tensor(k)
+		if !ok || !tensor.Equal(a, b) {
 			return false
 		}
 	}
@@ -69,6 +138,9 @@ func (s *State) SizeBytes() int {
 	}
 	for k, v := range s.Tensors {
 		n += len(k) + 8*v.Len()
+	}
+	for k, v := range s.Views {
+		n += len(k) + len(v.Raw)
 	}
 	return n
 }
@@ -157,20 +229,27 @@ func (s *SGD) Snapshot() *State {
 	return st
 }
 
-// Restore implements Optimizer.
+// Restore implements Optimizer. Each velocity buffer is copied into the
+// optimizer's existing buffer for that parameter when the shapes match, and
+// allocated only when there is none or its shape differs; buffers for
+// parameters the snapshot does not carry are dropped.
 func (s *SGD) Restore(st *State) error {
 	lr, ok := st.Scalars["lr"]
 	if !ok {
 		return fmt.Errorf("opt: SGD restore: missing lr")
 	}
-	s.lr = lr
-	s.velocity = map[string]*tensor.Tensor{}
-	for k, v := range st.Tensors {
+	names := st.TensorNames()
+	for _, k := range names {
 		if len(k) < 5 || k[:4] != "vel." {
 			return fmt.Errorf("opt: SGD restore: unexpected tensor %q", k)
 		}
-		s.velocity[k[4:]] = v.Clone()
 	}
+	velocity := make(map[string]*tensor.Tensor, len(names))
+	for _, k := range names {
+		velocity[k[4:]] = st.load(k, s.velocity[k[4:]])
+	}
+	s.lr = lr
+	s.velocity = velocity
 	return nil
 }
 
@@ -252,7 +331,8 @@ func (a *AdamW) Snapshot() *State {
 	return st
 }
 
-// Restore implements Optimizer.
+// Restore implements Optimizer, reusing the existing moment buffers the
+// way SGD.Restore reuses its velocity buffers.
 func (a *AdamW) Restore(st *State) error {
 	lr, ok := st.Scalars["lr"]
 	if !ok {
@@ -262,20 +342,23 @@ func (a *AdamW) Restore(st *State) error {
 	if !ok {
 		return fmt.Errorf("opt: AdamW restore: missing step")
 	}
-	a.lr = lr
-	a.step = int(stepF)
-	a.m = map[string]*tensor.Tensor{}
-	a.v = map[string]*tensor.Tensor{}
-	for k, v := range st.Tensors {
-		switch {
-		case len(k) > 2 && k[:2] == "m.":
-			a.m[k[2:]] = v.Clone()
-		case len(k) > 2 && k[:2] == "v.":
-			a.v[k[2:]] = v.Clone()
-		default:
+	names := st.TensorNames()
+	for _, k := range names {
+		if len(k) <= 2 || (k[:2] != "m." && k[:2] != "v.") {
 			return fmt.Errorf("opt: AdamW restore: unexpected tensor %q", k)
 		}
 	}
+	m, v := map[string]*tensor.Tensor{}, map[string]*tensor.Tensor{}
+	for _, k := range names {
+		if k[0] == 'm' {
+			m[k[2:]] = st.load(k, a.m[k[2:]])
+		} else {
+			v[k[2:]] = st.load(k, a.v[k[2:]])
+		}
+	}
+	a.lr = lr
+	a.step = int(stepF)
+	a.m, a.v = m, v
 	return nil
 }
 

@@ -1,10 +1,12 @@
 package opt
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"flor.dev/flor/internal/autograd"
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/nn"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/xrand"
@@ -182,6 +184,130 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 	bad.Tensors["junk"] = tensor.New(1)
 	if err := NewSGD(m, 0.1, 0, 0).Restore(bad); err == nil {
 		t.Fatal("SGD.Restore accepted unknown tensor key")
+	}
+}
+
+// asViews re-expresses st's tensors as wire views into one encoded buffer:
+// the form in which a decoded checkpoint reaches Restore.
+func asViews(t *testing.T, st *State) (*State, []byte) {
+	t.Helper()
+	names := st.TensorNames()
+	w := codec.NewWriter()
+	for _, k := range names {
+		w.Tensor(st.Tensors[k])
+	}
+	buf := w.Bytes()
+	r := codec.NewReader(buf)
+	out := &State{Scalars: st.Scalars, Views: map[string]codec.TensorView{}}
+	for _, k := range names {
+		v, err := r.TensorView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Views[k] = v
+	}
+	return out, buf
+}
+
+// buffers returns an optimizer's live state tensors by snapshot name.
+func buffers(o Optimizer) map[string]*tensor.Tensor {
+	out := map[string]*tensor.Tensor{}
+	switch o := o.(type) {
+	case *SGD:
+		for k, v := range o.velocity {
+			out["vel."+k] = v
+		}
+	case *AdamW:
+		for k, v := range o.m {
+			out["m."+k] = v
+		}
+		for k, v := range o.v {
+			out["v."+k] = v
+		}
+	}
+	return out
+}
+
+// TestRestoreFromViewsReusesBuffersWithoutAliasing restores optimizers from
+// wire views: each view must land in the optimizer's existing buffer for
+// that key, and training on afterwards must leave the checkpoint bytes
+// untouched.
+func TestRestoreFromViewsReusesBuffersWithoutAliasing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(nn.Module) Optimizer
+	}{
+		{"SGD", func(m nn.Module) Optimizer { return NewSGD(m, 0.5, 0.9, 0.01) }},
+		{"AdamW", func(m nn.Module) Optimizer { return NewAdamW(m, 0.05, 0.01) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := nn.NewLinear("fc", xrand.New(1), 2, 2)
+			o := tc.mk(m)
+			for i := 0; i < 3; i++ {
+				trainStep(m, o)
+			}
+			snap := o.Snapshot()
+			views, buf := asViews(t, snap)
+			want := append([]byte(nil), buf...)
+			before := buffers(o)
+			for i := 0; i < 2; i++ {
+				trainStep(m, o)
+			}
+			if err := o.Restore(views); err != nil {
+				t.Fatal(err)
+			}
+			after := buffers(o)
+			if len(after) != len(before) {
+				t.Fatalf("restore left %d buffers, had %d", len(after), len(before))
+			}
+			for k, b := range before {
+				if after[k] != b {
+					t.Fatalf("restore replaced the live buffer for %q instead of copying into it", k)
+				}
+			}
+			if !o.Snapshot().Equal(snap) {
+				t.Fatal("restored state diverges from the snapshot")
+			}
+			trainStep(m, o)
+			if !bytes.Equal(buf, want) {
+				t.Fatal("stepping after restore wrote into the checkpoint bytes")
+			}
+		})
+	}
+}
+
+// TestRestoreDropsStaleAndReallocatesMismatchedBuffers pins the two cases
+// where Restore cannot copy in place: live buffers the snapshot does not
+// carry are dropped, and a buffer whose shape differs is replaced by a fresh
+// one holding the snapshot's values.
+func TestRestoreDropsStaleAndReallocatesMismatchedBuffers(t *testing.T) {
+	m := nn.NewLinear("fc", xrand.New(1), 2, 2)
+	o := NewSGD(m, 0.5, 0.9, 0)
+	trainStep(m, o)
+	o.velocity["ghost"] = tensor.New(3)
+	odd := tensor.New(5)
+	o.velocity["fc.w"] = odd
+	st := NewState()
+	st.Scalars["lr"] = 0.25
+	st.Tensors["vel.fc.w"] = tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	views, buf := asViews(t, st)
+	want := append([]byte(nil), buf...)
+	if err := o.Restore(views); err != nil {
+		t.Fatal(err)
+	}
+	if len(o.velocity) != 1 {
+		t.Fatalf("velocity keys after restore = %d, want 1 (stale ones dropped)", len(o.velocity))
+	}
+	got := o.velocity["fc.w"]
+	if got == odd || !tensor.Equal(got, st.Tensors["vel.fc.w"]) {
+		t.Fatal("mismatched buffer not replaced by a fresh copy of the snapshot")
+	}
+	got.Fill(9)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("the freshly allocated buffer aliases the checkpoint bytes")
+	}
+	if o.LR() != 0.25 {
+		t.Fatalf("lr = %g, want 0.25", o.LR())
 	}
 }
 

@@ -51,8 +51,11 @@ func TestReplayThroughSharedPool(t *testing.T) {
 		if st.InUse != 0 {
 			t.Fatalf("%v: pool leaked slots: %+v", schedPolicy, st)
 		}
-		if st.Acquires < 4 {
-			t.Fatalf("%v: pool acquires = %d, want >= 4 (one per worker)", schedPolicy, st.Acquires)
+		// One acquire per worker that ran: the balanced partition returns
+		// at most Workers segments, fewer when one epoch's recorded wall
+		// time dominates, so the worker count is not always 4.
+		if len(got.Workers) == 0 || st.Acquires < int64(len(got.Workers)) {
+			t.Fatalf("%v: pool acquires = %d, want >= %d (one per worker that ran)", schedPolicy, st.Acquires, len(got.Workers))
 		}
 	}
 }

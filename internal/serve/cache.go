@@ -44,6 +44,10 @@ type storeCache struct {
 	// run's LRU residency, and its decoded content stays valid (content-
 	// addressed, immutable by contract).
 	poolCaches map[string]*backmat.PayloadCache
+	// opening holds, per run whose store is being opened, a channel closed
+	// when that open finishes: concurrent cold queries of one run share a
+	// single open instead of each replaying the manifest.
+	opening map[string]chan struct{}
 
 	hits      int64
 	misses    int64
@@ -61,6 +65,7 @@ func newStoreCache(capacity int, cacheBytes int64, onEvict func(string)) *storeC
 		lru:        list.New(),
 		onEvict:    onEvict,
 		poolCaches: map[string]*backmat.PayloadCache{},
+		opening:    map[string]chan struct{}{},
 		mEvictions: obs.C(obs.MServeStoreEvictions),
 		mOpen:      obs.G(obs.MServeStoreOpen),
 	}
@@ -69,23 +74,44 @@ func newStoreCache(capacity int, cacheBytes int64, onEvict func(string)) *storeC
 // get returns the entry for runID, opening the store via load on a miss
 // (the caller chooses the open path: pinned local roots, or the remote
 // object backend) and evicting the least recently used entry beyond
-// capacity. poolRoot selects the shared payload cache ("" = private).
+// capacity. poolRoot selects the shared payload cache ("" = private). A
+// query arriving while the run's store is being opened waits for that open
+// and counts as a hit if it succeeded.
 func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[runID]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		ent := el.Value.(*cacheEntry)
-		ent.lastTouch = time.Now()
+	for {
+		if el, ok := c.entries[runID]; ok {
+			c.lru.MoveToFront(el)
+			c.hits++
+			ent := el.Value.(*cacheEntry)
+			ent.lastTouch = time.Now()
+			c.mu.Unlock()
+			return ent, true, nil
+		}
+		done, ok := c.opening[runID]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
-		return ent, true, nil
+		<-done
+		c.mu.Lock()
 	}
 	c.misses++
+	done := make(chan struct{})
+	c.opening[runID] = done
 	c.mu.Unlock()
+	// However this open ends — even by a panic in load, which the HTTP
+	// server recovers from — release the queries waiting on it: they find
+	// the entry, or retry the open themselves.
+	defer func() {
+		c.mu.Lock()
+		delete(c.opening, runID)
+		c.mu.Unlock()
+		close(done)
+	}()
 
 	// Load outside the lock: opening a cold store replays its manifest,
-	// which must not block hits on other runs. A racing duplicate load of
-	// the same run is benign (last one wins the cache slot).
+	// which must not block hits on other runs.
 	rec, err := load()
 	if err != nil {
 		return nil, false, err
@@ -98,21 +124,15 @@ func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording,
 
 	c.mu.Lock()
 	var evicted []string
-	if el, ok := c.entries[runID]; ok {
-		// Lost the race: adopt the winner so concurrent queries share it.
-		c.lru.MoveToFront(el)
-		ent = el.Value.(*cacheEntry)
-	} else {
-		c.entries[runID] = c.lru.PushFront(ent)
-		for c.lru.Len() > c.cap {
-			last := c.lru.Back()
-			old := last.Value.(*cacheEntry)
-			c.lru.Remove(last)
-			delete(c.entries, old.runID)
-			c.evictions++
-			c.mEvictions.Inc()
-			evicted = append(evicted, old.runID)
-		}
+	c.entries[runID] = c.lru.PushFront(ent)
+	for c.lru.Len() > c.cap {
+		last := c.lru.Back()
+		old := last.Value.(*cacheEntry)
+		c.lru.Remove(last)
+		delete(c.entries, old.runID)
+		c.evictions++
+		c.mEvictions.Inc()
+		evicted = append(evicted, old.runID)
 	}
 	c.mOpen.Set(int64(c.lru.Len()))
 	hook := c.onEvict

@@ -23,6 +23,7 @@ import (
 	"flor.dev/flor/internal/adapt"
 	"flor.dev/flor/internal/analyze"
 	"flor.dev/flor/internal/backmat"
+	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/store"
@@ -290,8 +291,11 @@ func (b *Block) execute(ctx *script.Ctx) error {
 // restore loads the Loop End Checkpoint and applies its side-effects.
 // Format-v2 checkpoints restore through the parallel path: chunk frames are
 // read and decoded across the worker pool (store.GetSections), then bundle
-// entries decode in parallel too (backmat.DecodeSections). Format-v1 and
-// opaque checkpoints fall back to the monolithic decode.
+// entries decode in parallel too (backmat.DecodeSectionsCached), leaving
+// tensors as views into the section buffers. Applying copies each view once
+// into its live value, after which every section buffer the payload cache
+// did not keep goes back to the restore arena. Format-v1 and opaque
+// checkpoints fall back to the monolithic decode.
 func (b *Block) restore(ctx *script.Ctx, key store.Key) error {
 	t0 := time.Now()
 	spanStart := b.rt.tr.Now()
@@ -326,6 +330,13 @@ func (b *Block) restore(ctx *script.Ctx, key store.Key) error {
 		}
 		if err := v.Restore(it.Payload); err != nil {
 			return fmt.Errorf("skipblock: %s: restore %q: %w", key, it.Name, err)
+		}
+	}
+	// Every Value.Restore copies, so nothing aliases the uncached buffers
+	// any more.
+	for _, sec := range secs {
+		if sec.Data != nil {
+			ckptfmt.Shared.Put(sec.Data)
 		}
 	}
 	restoreNs := time.Since(t0).Nanoseconds()

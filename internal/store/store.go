@@ -1627,10 +1627,12 @@ type chunkJob struct {
 // fetch is either a memory-mapped view of the pack or offset-sorted reads
 // coalesced into arena staging spans (see ChunkPool.fetchShard).
 //
-// Every loaded section owns a freshly allocated Data buffer: decode copies
-// out of the transient fetch memory (span buffers recycle through the arena,
-// mappings unmap once released), so Data — and any lazy payload view a
-// caller builds over it — stays valid indefinitely.
+// Every loaded section's Data is a buffer drawn from ckptfmt.Shared that
+// the caller owns: decode copies out of the transient fetch memory (span
+// buffers recycle through the arena, mappings unmap once released), so Data
+// — and any lazy payload view a caller builds over it — stays valid until
+// the caller hands the buffer back to the arena, or forever if it never
+// does.
 //
 // The have callback is invoked without any store lock held, and each
 // shard's lock is taken only briefly to resolve chunk locations: concurrent
@@ -1668,7 +1670,7 @@ func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.
 	byShard := map[int][]int{} // shard -> indices into jobs
 	for _, i := range load {
 		ds := &dir.Sections[i]
-		buf := make([]byte, secs[i].RawLen)
+		buf := ckptfmt.Shared.Get(secs[i].RawLen)
 		secs[i].Data = buf
 		off := 0
 		for _, ref := range ds.Chunks {

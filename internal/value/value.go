@@ -138,38 +138,31 @@ func (p BoolPayload) Encode(w *codec.Writer) { w.Bool(bool(p)) }
 func (BoolPayload) SizeBytes() int { return 1 }
 
 // TensorPayload carries a dense tensor, in one of two forms. Snapshot builds
-// the materialized form (T set). DecodePayload builds the lazy form: the wire
-// float block and shape, unmaterialized. A lazy payload restores by copying
+// the materialized form (T set). DecodePayload builds the lazy form: a wire
+// view of the tensor, unmaterialized. A lazy payload restores by copying
 // checkpoint bytes straight into the live tensor's backing array — the
 // restore hot path never builds an intermediate tensor copy — and
-// materializes on demand for any other consumer via Tensor. The raw block
-// aliases the decoded section buffer, which is immutable once returned, so
-// lazy payloads are safe to hold indefinitely (e.g. in a PayloadCache).
+// materializes on demand for any other consumer via Tensor. The view aliases
+// the decoded section buffer, so a lazy payload lives only as long as that
+// buffer: for the length of one restore, unless the payload cache admitted
+// it, in which case the cache owns the buffer and never recycles it.
 type TensorPayload struct {
 	T *tensor.Tensor
 
-	// Lazy form, set only when T is nil: raw holds 8 little-endian IEEE-754
-	// bytes per element, shape the dimensions.
-	raw   []byte
-	shape []int
+	view codec.TensorView // lazy form, set only when T is nil
 }
 
 // Kind implements Payload.
 func (TensorPayload) Kind() Kind { return KindTensor }
 
-// Encode implements Payload.
+// Encode implements Payload. The lazy form re-emits its wire view verbatim,
+// byte-identical to encoding the materialized tensor.
 func (p TensorPayload) Encode(w *codec.Writer) {
 	if p.T != nil {
 		w.Tensor(p.T)
 		return
 	}
-	// Re-emit the lazy form verbatim: shape prefix then the wire float block,
-	// byte-identical to encoding the materialized tensor.
-	w.Uvarint(uint64(len(p.shape)))
-	for _, d := range p.shape {
-		w.Uvarint(uint64(d))
-	}
-	w.RawAppend(p.raw)
+	w.TensorView(p.view)
 }
 
 // SizeBytes implements Payload.
@@ -177,7 +170,7 @@ func (p TensorPayload) SizeBytes() int {
 	if p.T != nil {
 		return 8*p.T.Len() + 8
 	}
-	return len(p.raw) + 8
+	return len(p.view.Raw) + 8
 }
 
 // Tensor returns the payload's tensor, materializing a lazy view on demand.
@@ -185,9 +178,7 @@ func (p TensorPayload) Tensor() *tensor.Tensor {
 	if p.T != nil {
 		return p.T
 	}
-	t := tensor.New(p.shape...)
-	codec.PutFloats(t.Data(), p.raw)
-	return t
+	return p.view.Tensor()
 }
 
 // Shape returns the payload's dimensions without materializing it.
@@ -195,18 +186,23 @@ func (p TensorPayload) Shape() []int {
 	if p.T != nil {
 		return p.T.Shape()
 	}
-	return p.shape
+	return p.view.Shape
 }
 
 // StatePayload carries named tensors plus named scalars, sorted by name on
 // the wire for deterministic encoding. It serves models, optimizers and
-// schedulers alike.
+// schedulers alike. Snapshot fills S.Tensors; DecodePayload decodes the
+// scalars and leaves every tensor as a wire view in S.Views, with the same
+// lifetime as a lazy TensorPayload. Restores copy each view once, straight
+// into the live parameter or optimizer buffer; S.Tensor materializes one for
+// any other consumer.
 type StatePayload struct{ S *opt.State }
 
 // Kind implements Payload.
 func (StatePayload) Kind() Kind { return KindState }
 
-// Encode implements Payload.
+// Encode implements Payload. Decoded views re-emit byte-identically, so a
+// decode/encode round trip reproduces the checkpoint bytes.
 func (p StatePayload) Encode(w *codec.Writer) {
 	scalarKeys := sortedKeys(p.S.Scalars)
 	w.Uvarint(uint64(len(scalarKeys)))
@@ -214,11 +210,15 @@ func (p StatePayload) Encode(w *codec.Writer) {
 		w.String(k)
 		w.Float64(p.S.Scalars[k])
 	}
-	tensorKeys := sortedKeysT(p.S.Tensors)
+	tensorKeys := p.S.TensorNames()
 	w.Uvarint(uint64(len(tensorKeys)))
 	for _, k := range tensorKeys {
 		w.String(k)
-		w.Tensor(p.S.Tensors[k])
+		if v, ok := p.S.Views[k]; ok {
+			w.TensorView(v)
+		} else {
+			w.Tensor(p.S.Tensors[k])
+		}
 	}
 }
 
@@ -268,17 +268,18 @@ func DecodePayload(r *codec.Reader, k Kind) (Payload, error) {
 		// Decode lazily: keep the wire view so a subsequent Restore copies
 		// bytes straight onto the live tensor instead of paying for an
 		// intermediate materialized copy it would immediately discard.
-		shape, raw, err := r.TensorView()
+		v, err := r.TensorView()
 		if err != nil {
 			return nil, err
 		}
-		return TensorPayload{raw: raw, shape: shape}, nil
+		return TensorPayload{view: v}, nil
 	case KindState:
-		st := opt.NewState()
+		// Scalars decode; tensors stay wire views, as for KindTensor.
 		ns, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
+		st := &opt.State{Scalars: map[string]float64{}, Views: map[string]codec.TensorView{}}
 		for i := uint64(0); i < ns; i++ {
 			name, err := r.String()
 			if err != nil {
@@ -299,11 +300,11 @@ func DecodePayload(r *codec.Reader, k Kind) (Payload, error) {
 			if err != nil {
 				return nil, err
 			}
-			t, err := r.Tensor()
+			v, err := r.TensorView()
 			if err != nil {
 				return nil, err
 			}
-			st.Tensors[name] = t
+			st.Views[name] = v
 		}
 		return StatePayload{S: st}, nil
 	case KindRNG:
@@ -340,15 +341,6 @@ func DecodeTaggedPayload(r *codec.Reader) (Payload, error) {
 }
 
 func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	return keys
-}
-
-func sortedKeysT(m map[string]*tensor.Tensor) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -500,10 +492,9 @@ func (b *Tensor) Restore(p Payload) error {
 	if tp.T == nil {
 		// Lazy payload: copy the wire bytes straight into the live tensor's
 		// aligned backing array, skipping the intermediate tensor entirely.
-		if !shapeEqual(b.T.Shape(), tp.shape) {
-			return fmt.Errorf("value: tensor restore shape mismatch %v vs %v", b.T.Shape(), tp.shape)
+		if err := tp.view.CopyTo(b.T); err != nil {
+			return fmt.Errorf("value: tensor restore: %w", err)
 		}
-		codec.PutFloats(b.T.Data(), tp.raw)
 		return nil
 	}
 	if !tensor.SameShape(b.T, tp.T) {
@@ -511,18 +502,6 @@ func (b *Tensor) Restore(p Payload) error {
 	}
 	b.T.CopyFrom(tp.T)
 	return nil
-}
-
-func shapeEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes implements Value.
@@ -551,13 +530,20 @@ func (b *Model) Snapshot() Payload {
 	return StatePayload{S: st}
 }
 
-// Restore implements Value.
+// Restore implements Value. Every parameter must be present with a matching
+// shape; each is copied once, from the payload straight into the live
+// parameter.
 func (b *Model) Restore(p Payload) error {
 	sp, ok := p.(StatePayload)
 	if !ok {
 		return restoreMismatch(b, p)
 	}
-	return nn.LoadState(b.M, sp.S.Tensors)
+	for _, prm := range b.M.Params() {
+		if err := sp.S.CopyTo(prm.Name, prm.Var.Value); err != nil {
+			return fmt.Errorf("value: model restore %q: %w", prm.Name, err)
+		}
+	}
+	return nil
 }
 
 // SizeBytes implements Value.

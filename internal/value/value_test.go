@@ -1,6 +1,7 @@
 package value
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -214,15 +215,139 @@ func TestStatePayloadDeterministicEncoding(t *testing.T) {
 	st.Scalars["zeta"] = 1
 	st.Scalars["alpha"] = 2
 	st.Tensors["m.b"] = tensor.Full(1, 2)
-	st.Tensors["m.a"] = tensor.Full(2, 2)
-	enc := func() []byte {
+	st.Tensors["m.a"] = tensor.Randn(xrand.New(4), 1, 3, 2)
+	enc := func(p Payload) []byte {
 		w := codec.NewWriter()
-		EncodePayload(w, StatePayload{S: st})
+		EncodePayload(w, p)
 		return w.Bytes()
 	}
-	a, b := enc(), enc()
+	a, b := enc(StatePayload{S: st}), enc(StatePayload{S: st})
 	if string(a) != string(b) {
 		t.Fatal("StatePayload encoding not deterministic (map iteration leaked)")
+	}
+	// Decoding keeps every tensor as a wire view into the encoded bytes,
+	// and re-encoding the views reproduces those bytes exactly.
+	dec, err := DecodeTaggedPayload(codec.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dec.(StatePayload).S
+	if len(ds.Tensors) != 0 || len(ds.Views) != 2 {
+		t.Fatalf("decoded state holds %d tensors and %d views, want 0 and 2", len(ds.Tensors), len(ds.Views))
+	}
+	if got := enc(dec); string(got) != string(a) {
+		t.Fatal("decode/encode round trip of a StatePayload is not byte-identical")
+	}
+	if got, want := dec.SizeBytes(), (StatePayload{S: st}).SizeBytes(); got != want {
+		t.Fatalf("decoded SizeBytes = %d, snapshot SizeBytes = %d", got, want)
+	}
+	if !ds.Equal(st) {
+		t.Fatal("decoded state does not equal the snapshot it encodes")
+	}
+	// The materializing accessor hands out a copy, not a view.
+	m, ok := ds.Tensor("m.a")
+	if !ok || !tensor.Equal(m, st.Tensors["m.a"]) {
+		t.Fatal("materialized view diverges from the snapshot tensor")
+	}
+	m.Fill(7)
+	if got := enc(dec); string(got) != string(a) {
+		t.Fatal("mutating a materialized tensor changed the payload")
+	}
+}
+
+// restorePair builds a live model plus momentum SGD, and a decoded
+// model/optimizer checkpoint of a different state to restore into them.
+func restorePair(t *testing.T, width int) (mv *Model, ov *Optimizer, modelP, optP Payload, encoded []byte) {
+	t.Helper()
+	src := nn.NewLinear("fc", xrand.New(1), width, width)
+	st := opt.NewState()
+	st.Scalars["lr"] = 0.05
+	for i, p := range src.Params() {
+		st.Tensors["vel."+p.Name] = tensor.Randn(xrand.New(uint64(10+i)), 1, p.Var.Value.Shape()...)
+	}
+	w := codec.NewWriter()
+	EncodePayload(w, (&Model{M: src}).Snapshot())
+	EncodePayload(w, StatePayload{S: st})
+	encoded = w.Bytes()
+	r := codec.NewReader(encoded)
+	var err error
+	if modelP, err = DecodeTaggedPayload(r); err != nil {
+		t.Fatal(err)
+	}
+	if optP, err = DecodeTaggedPayload(r); err != nil {
+		t.Fatal(err)
+	}
+	live := nn.NewLinear("fc", xrand.New(2), width, width)
+	return &Model{M: live}, &Optimizer{O: opt.NewSGD(live, 0.1, 0.9, 0)}, modelP, optP, encoded
+}
+
+// TestRestoredStateNeverAliasesPayload steps a model and optimizer restored
+// from decoded views and checks the payload bytes are untouched: restore
+// copied every view instead of adopting the checkpoint's buffer.
+func TestRestoredStateNeverAliasesPayload(t *testing.T) {
+	mv, ov, modelP, optP, encoded := restorePair(t, 6)
+	want := append([]byte(nil), encoded...)
+	if err := mv.Restore(modelP); err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.Restore(optP); err != nil {
+		t.Fatal(err)
+	}
+	if !ov.O.Snapshot().Equal(optP.(StatePayload).S) {
+		t.Fatal("optimizer restore diverges from the payload")
+	}
+	for _, p := range mv.M.Params() {
+		p.Var.Grad = tensor.Full(0.5, p.Var.Value.Shape()...)
+	}
+	ov.O.Step()
+	if string(encoded) != string(want) {
+		t.Fatal("stepping the restored optimizer wrote into the payload bytes")
+	}
+	w := codec.NewWriter()
+	EncodePayload(w, modelP)
+	EncodePayload(w, optP)
+	if string(w.Bytes()) != string(want) {
+		t.Fatal("payloads re-encode differently after the restored state moved on")
+	}
+}
+
+// TestRestoreIntoLiveBuffersAllocatesNoBackingArrays is the allocation
+// guard for the copy-once restore: once the live model and optimizer own
+// their buffers, restoring a decoded checkpoint into them copies into those
+// buffers and allocates only small bookkeeping, the same amount whatever the
+// parameter size.
+func TestRestoreIntoLiveBuffersAllocatesNoBackingArrays(t *testing.T) {
+	measure := func(width int) (allocs float64, bytesPerRun uint64) {
+		mv, ov, modelP, optP, _ := restorePair(t, width)
+		restore := func() {
+			if err := mv.Restore(modelP); err != nil {
+				t.Fatal(err)
+			}
+			if err := ov.Restore(optP); err != nil {
+				t.Fatal(err)
+			}
+		}
+		restore() // the first restore creates the velocity buffers
+		allocs = testing.AllocsPerRun(50, restore)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			restore()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, _ := measure(4)
+	const width = 256
+	bigAllocs, bigBytes := measure(width)
+	if bigAllocs != smallAllocs {
+		t.Fatalf("restore allocates %.1f times at width %d but %.1f at width 4: allocation count grows with parameter size",
+			bigAllocs, width, smallAllocs)
+	}
+	// The smallest backing array at this width is the bias, 8*width bytes.
+	if bigBytes >= 8*width {
+		t.Fatalf("restore allocated %d bytes per run at width %d: a tensor backing array is being allocated", bigBytes, width)
 	}
 }
 
